@@ -43,6 +43,7 @@ var errnoByName = map[string]error{
 	"ENOTPRIMARY": ErrNotPrimary,
 	"EDEADLINE":   ErrDeadline,
 	"EBUSY":       ErrBusy,
+	"EMSGSIZE":    ErrTooLarge,
 }
 
 // ErrNotPrimary means a mutating command reached a replica that does
@@ -62,6 +63,11 @@ var ErrDeadline = errors.New("chirp: deadline budget exhausted")
 // <N>ms" hint; RetryAfterFromError extracts it. EBUSY is always safe
 // to retry, whatever the command, because nothing ran.
 var ErrBusy = errors.New("chirp: server overloaded")
+
+// ErrTooLarge means a reply would not fit in one frame: its payload
+// exceeds MaxPayload. Replication catch-up (a snapshot or WAL tail sent
+// whole) is the one reply that can grow past it.
+var ErrTooLarge = errors.New("chirp: payload exceeds the frame limit")
 
 // retryAfterMarker introduces the backoff hint in an EBUSY message.
 const retryAfterMarker = "retry after "
@@ -118,6 +124,8 @@ func nameForError(err error) string {
 		return "EDEADLINE"
 	case errors.Is(err, ErrBusy):
 		return "EBUSY"
+	case errors.Is(err, ErrTooLarge):
+		return "EMSGSIZE"
 	default:
 		return "EIO"
 	}

@@ -3,6 +3,8 @@ package chirp
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -352,6 +354,45 @@ func TestFollowerBootstrapFromSnapshot(t *testing.T) {
 	}
 	if data, err := fcl.GetFile("/post-snapshot"); err != nil || string(data) != "later" {
 		t.Fatalf("post-snapshot read = %q, %v", data, err)
+	}
+}
+
+// TestFollowerBootstrapOversizeSnapshotRefused compacts more than
+// MaxPayload of file data into the primary's snapshot. The snapshot
+// cannot travel in one frame, so the primary must refuse the
+// subscription at once with EMSGSIZE and unregister it — not leave the
+// follower waiting out its dial timeout for a reply that never comes.
+func TestFollowerBootstrapOversizeSnapshotRefused(t *testing.T) {
+	primary := startReplMember(t, "vol", "", "")
+	cl := adminClient(t, primary.srv, ClientOptions{})
+	chunk := make([]byte, 1<<20)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5; i++ {
+		rng.Read(chunk)
+		if err := cl.PutFile(fmt.Sprintf("/big%d", i), chunk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 10 * time.Second
+	start := time.Now()
+	rs, err := DialReplica(primary.addr, adminAuth(), 0, timeout)
+	if err == nil {
+		rs.Close()
+		t.Fatal("bootstrap from an oversize snapshot succeeded")
+	}
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("bootstrap = %v, want EMSGSIZE", err)
+	}
+	if took := time.Since(start); took > timeout/2 {
+		t.Fatalf("refusal took %v, close to the %v dial timeout", took, timeout)
+	}
+	pollUntil(t, 2*time.Second, "refused subscription dropped", func() bool { return primary.pub.Subscribers() == 0 })
+	// The primary keeps serving.
+	if data, err := cl.GetFile("/big4"); err != nil || !bytes.Equal(data, chunk) {
+		t.Fatalf("read after refusal: %d bytes, %v", len(data), err)
 	}
 }
 

@@ -105,6 +105,9 @@ func DialReplica(addr string, auths []auth.Authenticator, fromLSN uint64, timeou
 	}
 	if len(fields) < 1 || fields[0] != "ok" {
 		rs.discard(h.payloadLen)
+		if len(fields) == 3 && fields[0] == "err" {
+			return fail(fmt.Errorf("chirp: replsub refused: %w", remoteError(fields[1], fields[2])))
+		}
 		return fail(fmt.Errorf("chirp: replsub refused: %q", fields))
 	}
 	switch {

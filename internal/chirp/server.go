@@ -2087,17 +2087,42 @@ func (sess *session) serveReplSub(j muxJob) {
 	sess.replMu.Unlock()
 	sess.log.printf("replication subscriber from lsn %d (%s)", from, sess.ident)
 	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	var fields []string
+	var body []byte
 	switch {
 	case snap != nil:
-		sess.writeFrame(j.tag, []string{"ok", "snap", u(pub.Epoch()), u(snapLSN), strconv.Itoa(len(snap))}, snap)
+		fields, body = []string{"ok", "snap", u(pub.Epoch()), u(snapLSN), strconv.Itoa(len(snap))}, snap
 	case catchup != nil:
-		sess.writeFrame(j.tag, []string{"ok", "tail", u(catchup.Epoch), u(catchup.First), u(catchup.Last),
-			strconv.Itoa(catchup.Records), strconv.Itoa(len(catchup.Frames))}, catchup.Frames)
+		fields, body = []string{"ok", "tail", u(catchup.Epoch), u(catchup.First), u(catchup.Last),
+			strconv.Itoa(catchup.Records), strconv.Itoa(len(catchup.Frames))}, catchup.Frames
 	default:
-		sess.writeFrame(j.tag, []string{"ok", "tail", u(pub.Epoch()), "0", "0", "0", "0"}, nil)
+		fields = []string{"ok", "tail", u(pub.Epoch()), "0", "0", "0", "0"}
+	}
+	if len(body) > MaxPayload {
+		// The catch-up cannot travel in one frame, and there is no
+		// chunked bootstrap: refuse now rather than leave the follower
+		// waiting on a reply that will never come.
+		sess.dropReplSub(sub)
+		sess.failTagged(j.tag, ErrTooLarge, fmt.Sprintf("replication catch-up of %d bytes exceeds the %d-byte frame limit", len(body), MaxPayload))
+		return
+	}
+	if err := sess.writeFrame(j.tag, fields, body); err != nil {
+		sess.dropReplSub(sub)
+		return
 	}
 	sess.pushWG.Add(1)
 	go sess.replPush(sub)
+}
+
+// dropReplSub unregisters a subscription whose catch-up never reached
+// the follower, so the publisher stops queueing batches for it.
+func (sess *session) dropReplSub(sub *replica.Subscription) {
+	sess.replMu.Lock()
+	if sess.replSub == sub {
+		sess.replSub = nil
+	}
+	sess.replMu.Unlock()
+	sub.Close()
 }
 
 // serveReplAck handles `replack <lsn>`: the follower's applied horizon,
@@ -2285,7 +2310,10 @@ func (sess *session) present(data []byte) (community string, err error) {
 // grantsAllow reports whether a verified CAS grant covers the path with
 // the wanted rights. Prefix matching respects component boundaries.
 func (sess *session) grantsAllow(path string, want acl.Rights) bool {
-	final := sess.s.resolveFinal(path)
+	final, err := sess.s.resolveFinal(path)
+	if err != nil {
+		return false
+	}
 	sess.grantsMu.RLock()
 	defer sess.grantsMu.RUnlock()
 	for _, g := range sess.grants {
@@ -2308,8 +2336,12 @@ func (sess *session) grantsAllow(path string, want acl.Rights) bool {
 // checkF is the per-session file check: local ACLs first, then
 // community grants.
 func (sess *session) checkF(path string, want acl.Rights) error {
-	if err := sess.s.checkFile(sess.ident, path, want); err == nil {
+	err := sess.s.checkFile(sess.ident, path, want)
+	if err == nil {
 		return nil
+	}
+	if errors.Is(err, vfs.ErrLoop) {
+		return err // no grant can cover a path that never resolves
 	}
 	if sess.grantsAllow(path, want) {
 		return nil
@@ -2319,8 +2351,12 @@ func (sess *session) checkF(path string, want acl.Rights) error {
 
 // checkD is the per-session directory check.
 func (sess *session) checkD(dir string, want acl.Rights) error {
-	if err := sess.s.checkDir(sess.ident, dir, want); err == nil {
+	err := sess.s.checkDir(sess.ident, dir, want)
+	if err == nil {
 		return nil
+	}
+	if errors.Is(err, vfs.ErrLoop) {
+		return err // no grant can cover a path that never resolves
 	}
 	if sess.grantsAllow(dir, want) {
 		return nil
@@ -2426,33 +2462,32 @@ func (s *Server) aclFor(dir string) (*acl.ACL, error) {
 	}
 }
 
-const maxServerSymlinks = 10
-
-// resolveFinal chases symlinks so checks apply to targets.
-func (s *Server) resolveFinal(path string) string {
-	cur := vfs.Clean(path)
-	for i := 0; i < maxServerSymlinks; i++ {
-		st, err := s.fs.Lstat(cur)
-		if err != nil || st.Type != vfs.TypeSymlink {
-			return cur
-		}
-		target, err := s.fs.Readlink(cur)
-		if err != nil {
-			return cur
-		}
-		if len(target) > 0 && target[0] == '/' {
-			cur = vfs.Clean(target)
-		} else {
-			cur = vfs.Join(vfs.Dir(cur), target)
-		}
+// resolveFinal maps path to the object the file system will reach
+// through it — every symlink followed, intermediate ones included, with
+// the same hop budget (vfs.Realpath) — so checks apply to the real
+// target's directory rather than the name it was reached by. A chain
+// longer than vfs.MaxSymlinkHops fails closed with ELOOP. A path that
+// does not resolve for another reason is checked as written; the
+// operation itself then fails the same way.
+func (s *Server) resolveFinal(path string) (string, error) {
+	final, err := s.fs.Realpath(path)
+	switch {
+	case err == nil:
+		return final, nil
+	case errors.Is(err, vfs.ErrLoop):
+		return "", err
+	default:
+		return vfs.Clean(path), nil
 	}
-	return cur
 }
 
 // checkFile authorizes an operation on the file at path, governed by
 // the ACL of the directory containing the (symlink-resolved) target.
 func (s *Server) checkFile(ident identity.Principal, path string, want acl.Rights) error {
-	final := s.resolveFinal(path)
+	final, err := s.resolveFinal(path)
+	if err != nil {
+		return err
+	}
 	a, err := s.aclFor(vfs.Dir(final))
 	if err != nil {
 		return err
@@ -2477,7 +2512,11 @@ func (s *Server) checkFileNoFollow(ident identity.Principal, path string, want a
 
 // checkDir authorizes an operation governed by the directory's own ACL.
 func (s *Server) checkDir(ident identity.Principal, dir string, want acl.Rights) error {
-	a, err := s.aclFor(s.resolveFinal(dir))
+	final, err := s.resolveFinal(dir)
+	if err != nil {
+		return err
+	}
+	a, err := s.aclFor(final)
 	if err != nil {
 		return err
 	}

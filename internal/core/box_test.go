@@ -380,6 +380,91 @@ func TestSymlinkTargetDirectoryACLChecked(t *testing.T) {
 	})
 }
 
+// TestSymlinkChainCannotBypassACL has Freddy build symlink chains of
+// growing length in /open, where he holds every right, each ending at
+// dthain's secret. The box must judge every open by the ACL of the
+// final target's directory however long the chain is, and refuse with
+// ELOOP a chain longer than the hop budget the file system resolves
+// with, rather than check the link's directory and let the file system
+// finish the walk.
+func TestSymlinkChainCannotBypassACL(t *testing.T) {
+	k := newWorld(t)
+	fs := k.FS()
+	fs.MkdirAll("/open", 0o755, "dthain")
+	a := acl.ForOwner("Freddy")
+	fs.WriteFile("/open/"+acl.FileName, []byte(a.String()), 0o644, "dthain")
+
+	b := newBox(t, k, "Freddy", Options{})
+	b.Run(func(p *kernel.Proc, _ []string) int {
+		for _, c := range []struct {
+			links int
+			want  error
+		}{
+			{10, vfs.ErrPermission},
+			{11, vfs.ErrPermission},
+			{vfs.MaxSymlinkHops, vfs.ErrPermission},
+			{vfs.MaxSymlinkHops + 1, vfs.ErrLoop},
+		} {
+			dir := fmt.Sprintf("/open/c%d", c.links)
+			if err := p.Mkdir(dir, 0o755); err != nil {
+				t.Error(err)
+				return 1
+			}
+			for i := 0; i < c.links; i++ {
+				target := fmt.Sprintf("l%d", i+1)
+				if i == c.links-1 {
+					target = "/home/dthain/secret"
+				}
+				if err := p.Symlink(target, fmt.Sprintf("%s/l%d", dir, i)); err != nil {
+					t.Error(err)
+					return 1
+				}
+			}
+			data, err := p.ReadFile(dir + "/l0")
+			if !errors.Is(err, c.want) {
+				t.Errorf("%d-link chain: read = %q, %v; want %v", c.links, data, err, c.want)
+			}
+		}
+		return 0
+	})
+}
+
+// TestRelativeLinkThroughLinkedDirCannotBypassACL reaches dthain's
+// relative link "../secret" through Freddy's link to dthain's
+// directory. The file system takes the ".." from the directory the
+// link really lives in, so the read lands on dthain's secret and must
+// be judged there, not by the ACL of /open the path was spelled
+// through.
+func TestRelativeLinkThroughLinkedDirCannotBypassACL(t *testing.T) {
+	k := newWorld(t)
+	fs := k.FS()
+	fs.MkdirAll("/open", 0o755, "dthain")
+	fs.WriteFile("/open/"+acl.FileName, []byte(acl.ForOwner("Freddy").String()), 0o644, "dthain")
+	fs.MkdirAll("/home/dthain/sub", 0o755, "dthain")
+	fs.Symlink("../secret", "/home/dthain/sub/up", "dthain")
+
+	b := newBox(t, k, "Freddy", Options{})
+	b.Run(func(p *kernel.Proc, _ []string) int {
+		if err := p.Symlink("/home/dthain/sub", "/open/d"); err != nil {
+			t.Error(err)
+			return 1
+		}
+		if data, err := p.ReadFile("/open/d/up"); !errors.Is(err, vfs.ErrPermission) {
+			t.Errorf("read through linked dir = %q, %v; want denied", data, err)
+		}
+		// A climbing link whose directory is reached without crossing
+		// another link still resolves normally.
+		if err := p.Symlink("../pub/readable.txt", "/open/pub"); err != nil {
+			t.Error(err)
+			return 1
+		}
+		if _, err := p.ReadFile("/open/pub"); err != nil {
+			t.Errorf("climbing link to a readable file = %v", err)
+		}
+		return 0
+	})
+}
+
 func TestSignalConfinement(t *testing.T) {
 	k := newWorld(t)
 	freddy := newBox(t, k, "Freddy", Options{})

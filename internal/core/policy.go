@@ -72,35 +72,99 @@ func (b *Box) driverFor(path string) (parrot.Driver, string, error) {
 	return d, rel, nil
 }
 
-const maxSymlinkDepth = 10
-
 // resolveFinal chases symlinks so that ACL checks apply to the target's
 // directory, not the link's — Garfinkel's "overlooking indirect paths"
-// pitfall. Dangling links resolve to their (missing) target path.
-func (b *Box) resolveFinal(p *kernel.Proc, path string) string {
+// pitfall. Dangling links resolve to their (missing) target path. It
+// follows at most vfs.MaxSymlinkHops links, the budget the file system
+// resolves with, and fails closed with ELOOP when the path is still a
+// link after that, so the check can never stop short of the object the
+// access would reach.
+func (b *Box) resolveFinal(p *kernel.Proc, path string) (string, error) {
 	cur := path
-	for i := 0; i < maxSymlinkDepth; i++ {
-		d, rel, err := b.driverFor(cur)
-		if err != nil {
-			return cur
+	for hops := 0; ; hops++ {
+		target, mount, ok := b.readLink(p, cur)
+		if !ok {
+			return cur, nil
 		}
-		st, err := d.Lstat(p, rel)
-		if err != nil || st.Type != vfs.TypeSymlink {
-			return cur
+		if hops >= vfs.MaxSymlinkHops {
+			return "", &vfs.PathError{Op: "box", Path: path, Err: vfs.ErrLoop}
 		}
-		target, err := d.Readlink(p, rel)
-		if err != nil {
-			return cur
-		}
-		if len(target) > 0 && target[0] == '/' {
-			// Absolute within the mount: rebuild the outer path.
-			prefix := cur[:len(cur)-len(rel)]
-			cur = vfs.Clean(prefix + target)
-		} else {
+		switch {
+		case strings.HasPrefix(target, "/"):
+			cur = vfs.Clean(mount + target)
+		case climbs(target):
+			// The file system takes ".." from the directory the link
+			// really lives in, which is not the one it was named through
+			// when that path crosses another link.
+			dir, err := b.physicalDir(p, vfs.Dir(cur), &hops)
+			if err != nil {
+				return "", &vfs.PathError{Op: "box", Path: path, Err: err}
+			}
+			cur = vfs.Join(dir, target)
+		default:
 			cur = vfs.Join(vfs.Dir(cur), target)
 		}
 	}
-	return cur
+}
+
+// readLink reports the target of cur when it is a symlink, and the
+// outer path of its mount's root, against which an absolute target is
+// rebuilt.
+func (b *Box) readLink(p *kernel.Proc, cur string) (target, mount string, ok bool) {
+	d, rel, err := b.driverFor(cur)
+	if err != nil {
+		return "", "", false
+	}
+	st, err := d.Lstat(p, rel)
+	if err != nil || st.Type != vfs.TypeSymlink {
+		return "", "", false
+	}
+	target, err = d.Readlink(p, rel)
+	if err != nil {
+		return "", "", false
+	}
+	return target, cur[:len(cur)-len(rel)], true
+}
+
+// physicalDir resolves every symlink in the directory path dir, as the
+// file system would, spending from the caller's hop budget. Each link
+// is spliced in and the scan restarts, so every prefix before the one
+// examined is link-free and a relative target's ".." is taken from the
+// right directory.
+func (b *Box) physicalDir(p *kernel.Proc, dir string, hops *int) (string, error) {
+	dir = vfs.Clean(dir)
+	for i := 2; i <= len(dir); i++ {
+		if i < len(dir) && dir[i] != '/' {
+			continue
+		}
+		target, mount, ok := b.readLink(p, dir[:i])
+		if !ok {
+			continue
+		}
+		if *hops >= vfs.MaxSymlinkHops {
+			return "", vfs.ErrLoop
+		}
+		*hops++
+		if strings.HasPrefix(target, "/") {
+			target = mount + target
+		} else {
+			target = vfs.Dir(dir[:i]) + "/" + target
+		}
+		dir = vfs.Clean(target + dir[i:])
+		i = 1 // rescan the spliced path from its first component
+	}
+	return dir, nil
+}
+
+// climbs reports whether a relative symlink target has a ".."
+// component.
+func climbs(target string) bool {
+	for _, c := range strings.Split(target, "/") {
+		if c == ".." {
+			return true
+		}
+	}
+	return false
 }
 
 // loadACL fetches and parses the ACL protecting dir, using the cache
@@ -212,7 +276,10 @@ func (b *Box) checkAccess(p *kernel.Proc, path string, class access) error {
 	}
 	b.noteACLCheck(p, path)
 
-	final := b.resolveFinal(p, path)
+	final, err := b.resolveFinal(p, path)
+	if err != nil {
+		return err
+	}
 
 	// The ACL file itself is special: reading it takes List; any
 	// modification takes Admin on its directory.

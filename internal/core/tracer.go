@@ -23,7 +23,10 @@ func (b *Box) checkDirAccess(p *kernel.Proc, dirPath string, class access) error
 		return nil
 	}
 	b.noteACLCheck(p, dirPath)
-	final := b.resolveFinal(p, dirPath)
+	final, err := b.resolveFinal(p, dirPath)
+	if err != nil {
+		return err
+	}
 	a, err := b.loadACL(p, final)
 	if err != nil {
 		return err

@@ -1,5 +1,7 @@
 package vfs
 
+import "strings"
+
 // Journal support: a Journal attached with SetJournal receives one
 // Mutation per successful state change — namespace edits, data writes,
 // truncates, metadata changes — in a single total order. The durable
@@ -268,32 +270,14 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// firstComponent returns the first path component after cleaning,
-// without allocating on the common dot-free path. A path containing
-// "." or ".." segments falls back to SplitPath so the shard always
-// matches the subtree the mutation actually lands in.
+// firstComponent returns the first component of the cleaned path ("" for
+// the root), so the shard always matches the subtree the mutation
+// actually lands in. It allocates only for a path that is not already
+// canonical.
 func firstComponent(path string) string {
-	first := ""
-	for i := 0; i < len(path); {
-		for i < len(path) && path[i] == '/' {
-			i++
-		}
-		j := i
-		for j < len(path) && path[j] != '/' {
-			j++
-		}
-		seg := path[i:j]
-		if seg == "." || seg == ".." {
-			parts := SplitPath(path)
-			if len(parts) == 0 {
-				return ""
-			}
-			return parts[0]
-		}
-		if first == "" {
-			first = seg
-		}
-		i = j
+	c := Clean(path)[1:]
+	if i := strings.IndexByte(c, '/'); i >= 0 {
+		return c[:i]
 	}
-	return first
+	return c
 }

@@ -86,7 +86,12 @@ func (e *PathError) Error() string { return e.Op + " " + e.Path + ": " + e.Err.E
 // Unwrap supports errors.Is against the sentinel errors.
 func (e *PathError) Unwrap() error { return e.Err }
 
-const maxSymlinks = 40
+// MaxSymlinkHops is the most symbolic links one path resolution
+// follows; the next one fails with ErrLoop. Every layer that chases
+// links itself before an access check (the Chirp server's and the
+// identity box's ACL resolvers) uses this same budget, so a check can
+// never stop short of the object the file system will finally reach.
+const MaxSymlinkHops = 40
 
 // inoCounter is the global inode-number source, shared across file
 // systems so handles are never confused between instances.
@@ -193,51 +198,127 @@ func New(owner string) *FS {
 
 func (fs *FS) tick() int64 { return fs.clock.Add(1) }
 
-// SplitPath cleans an absolute slash-separated path into components.
-// "" and "/" yield an empty slice. Relative paths are interpreted
-// against "/" (the kernel joins cwd before calling the VFS).
-func SplitPath(path string) []string {
-	var out []string
-	for _, c := range strings.Split(path, "/") {
-		switch c {
-		case "", ".":
-		case "..":
-			if len(out) > 0 {
-				out = out[:len(out)-1]
-			}
-		default:
-			out = append(out, c)
-		}
+// Canonical paths. A path is canonical when it is "/" or "/" followed
+// by one or more non-empty components separated by single slashes,
+// none of them "." or "..", with no trailing slash. Clean maps every
+// path to its canonical form lexically: empty and "." components
+// vanish, ".." removes the component before it (and is dropped at the
+// root), and relative paths are taken against "/". Clean returns a
+// canonical argument unchanged after one scan, so the common case —
+// paths that were cleaned once at the edge and then passed down the
+// stack — costs no allocation; anything else costs exactly one (at
+// most two for paths longer than cleanStackBytes). Dir and Base return
+// substrings of the canonical form, and resolve walks it in place.
+
+// isCanonical reports whether path is already in the form Clean
+// returns.
+func isCanonical(path string) bool {
+	if len(path) == 0 || path[0] != '/' {
+		return false
 	}
-	return out
+	if len(path) == 1 {
+		return true
+	}
+	start := 1
+	for i := 1; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
+		}
+		switch i - start {
+		case 0:
+			return false // empty component: "//" or a trailing slash
+		case 1:
+			if path[start] == '.' {
+				return false
+			}
+		case 2:
+			if path[start] == '.' && path[start+1] == '.' {
+				return false
+			}
+		}
+		start = i + 1
+	}
+	return true
 }
+
+// cleanStackBytes bounds the scratch buffer Clean keeps on the stack.
+const cleanStackBytes = 256
 
 // Clean returns the canonical absolute form of path.
 func Clean(path string) string {
-	return "/" + strings.Join(SplitPath(path), "/")
+	if isCanonical(path) {
+		return path
+	}
+	// The result is at most one byte longer than path (a leading "/").
+	var stack [cleanStackBytes]byte
+	var buf []byte
+	if len(path)+1 <= len(stack) {
+		buf = stack[:len(path)+1]
+	} else {
+		buf = make([]byte, len(path)+1)
+	}
+	buf[0] = '/'
+	w := 1
+	for r := 0; r < len(path); {
+		if path[r] == '/' {
+			r++
+			continue
+		}
+		e := r + 1
+		for e < len(path) && path[e] != '/' {
+			e++
+		}
+		switch comp := path[r:e]; comp {
+		case ".":
+		case "..":
+			if w > 1 {
+				w--
+				for buf[w-1] != '/' {
+					w--
+				}
+				if w > 1 {
+					w-- // drop the separator, not the root slash
+				}
+			}
+		default:
+			if w > 1 {
+				buf[w] = '/'
+				w++
+			}
+			w += copy(buf[w:], comp)
+		}
+		r = e
+	}
+	return string(buf[:w])
 }
 
-// Join joins path elements with slashes and cleans the result.
+// Join joins path elements with slashes and cleans the result. Joining
+// a canonical directory and a plain name costs one allocation.
 func Join(elem ...string) string {
+	if len(elem) > 1 && elem[0] == "/" {
+		// "/" + "/" + name would not be canonical; skip the separator.
+		return Clean("/" + strings.Join(elem[1:], "/"))
+	}
 	return Clean(strings.Join(elem, "/"))
 }
 
 // Dir returns the parent directory of path ("/" for the root).
 func Dir(path string) string {
-	parts := SplitPath(path)
-	if len(parts) == 0 {
+	c := Clean(path)
+	i := strings.LastIndexByte(c, '/')
+	if i == 0 {
 		return "/"
 	}
-	return "/" + strings.Join(parts[:len(parts)-1], "/")
+	return c[:i]
 }
 
 // Base returns the final component of path ("/" for the root).
 func Base(path string) string {
-	parts := SplitPath(path)
-	if len(parts) == 0 {
+	c := Clean(path)
+	if c == "/" {
 		return "/"
 	}
-	return parts[len(parts)-1]
+	return c[strings.LastIndexByte(c, '/')+1:]
 }
 
 // resolve walks the path and returns the target inode. When followLast
@@ -245,46 +326,88 @@ func Base(path string) string {
 // It also returns the parent directory inode and the final component
 // name (empty for the root). Callers hold fs.treeMu (shared or
 // exclusive).
-func (fs *FS) resolve(path string, followLast bool, depth int) (node, parent *Inode, base string, err error) {
-	if depth > maxSymlinks {
-		return nil, nil, "", ErrLoop
+func (fs *FS) resolve(path string, followLast bool) (node, parent *Inode, base string, err error) {
+	node, parent, at, err := fs.walk(path, followLast)
+	if parent != nil {
+		base = at[strings.LastIndexByte(at, '/')+1:]
 	}
-	parts := SplitPath(path)
-	cur := fs.root
-	var par *Inode
-	for i, comp := range parts {
-		if cur.ftype != TypeDir {
-			return nil, nil, "", ErrNotDir
-		}
-		child, ok := cur.children[comp]
-		if !ok {
-			if i == len(parts)-1 {
-				// Parent exists; target missing. Report the parent so
-				// create-style operations can proceed.
-				return nil, cur, comp, ErrNotExist
+	return node, parent, base, err
+}
+
+// walk is resolve reporting, instead of the final name, the canonical
+// path it reached: the path with every symlink it followed spliced in,
+// which names the object itself. It is set whenever parent is (and for
+// the root), including a missing final component.
+//
+// The walk runs over the canonical form one component at a time. A
+// symlink met along the way is spliced in by substring — its target
+// (taken against the link's directory when relative) followed by the
+// rest of the path — and the walk restarts from the root on the cleaned
+// result, so ".." in a target is lexical, exactly as in the path
+// itself. At most MaxSymlinkHops links are followed; one more fails
+// with ErrLoop.
+func (fs *FS) walk(path string, followLast bool) (node, parent *Inode, at string, err error) {
+	p := Clean(path)
+	hops := 0
+restart:
+	for {
+		cur := fs.root
+		var par *Inode
+		for start := 1; start < len(p); {
+			end := len(p)
+			if i := strings.IndexByte(p[start:], '/'); i >= 0 {
+				end = start + i
 			}
-			return nil, nil, "", ErrNotExist
-		}
-		last := i == len(parts)-1
-		if child.ftype == TypeSymlink && (!last || followLast) {
-			rest := strings.Join(parts[i+1:], "/")
-			targ := child.target
-			if !strings.HasPrefix(targ, "/") {
-				// Relative symlink: resolve against the link's directory.
-				targ = "/" + strings.Join(parts[:i], "/") + "/" + targ
+			last := end == len(p)
+			if cur.ftype != TypeDir {
+				return nil, nil, "", ErrNotDir
 			}
-			if rest != "" {
-				targ = targ + "/" + rest
+			child, ok := cur.children[p[start:end]]
+			if !ok {
+				if last {
+					// Parent exists; target missing. Report the parent so
+					// create-style operations can proceed.
+					return nil, cur, p, ErrNotExist
+				}
+				return nil, nil, "", ErrNotExist
 			}
-			return fs.resolve(targ, followLast, depth+1)
+			if child.ftype == TypeSymlink && (!last || followLast) {
+				if hops++; hops > MaxSymlinkHops {
+					return nil, nil, "", ErrLoop
+				}
+				targ := child.target
+				if !strings.HasPrefix(targ, "/") {
+					// Relative symlink: resolve against the link's directory.
+					targ = p[:start] + targ
+				}
+				p = Clean(targ + p[end:])
+				continue restart
+			}
+			par, cur = cur, child
+			if last {
+				return cur, par, p, nil
+			}
+			start = end + 1
 		}
-		par = cur
-		cur = child
+		return fs.root, nil, p, nil
 	}
-	if len(parts) == 0 {
-		return fs.root, nil, "", nil
+}
+
+// Realpath returns the canonical path of the object path names, with
+// every symlink along the way followed — intermediate ones included —
+// exactly as the file system itself resolves it. A missing final
+// component is kept, so a dangling link or the target of a create
+// yields where the object would be. Access checks use it to judge the
+// object a later operation will reach rather than the name it was
+// reached by.
+func (fs *FS) Realpath(path string) (string, error) {
+	fs.treeMu.RLock()
+	_, parent, at, err := fs.walk(path, true)
+	fs.treeMu.RUnlock()
+	if err != nil && !(errors.Is(err, ErrNotExist) && parent != nil) {
+		return "", &PathError{"realpath", path, err}
 	}
-	return cur, par, parts[len(parts)-1], nil
+	return at, nil
 }
 
 // resolveShared resolves path to an existing inode under the shared
@@ -294,7 +417,7 @@ func (fs *FS) resolve(path string, followLast bool, depth int) (node, parent *In
 // in Unix.
 func (fs *FS) resolveShared(path string, followLast bool) (*Inode, error) {
 	fs.treeMu.RLock()
-	n, _, _, err := fs.resolve(path, followLast, 0)
+	n, _, _, err := fs.resolve(path, followLast)
 	fs.treeMu.RUnlock()
 	return n, err
 }
@@ -302,7 +425,7 @@ func (fs *FS) resolveShared(path string, followLast bool) (*Inode, error) {
 // lookupDir resolves path to an existing directory. Callers hold
 // fs.treeMu.
 func (fs *FS) lookupDir(op, path string) (*Inode, error) {
-	n, _, _, err := fs.resolve(path, true, 0)
+	n, _, _, err := fs.resolve(path, true)
 	if err != nil {
 		return nil, &PathError{op, path, err}
 	}
@@ -321,7 +444,7 @@ func (fs *FS) mkdir(path string, mode uint32, owner string, trace uint64) error 
 	defer fs.endJournal(fs.beginJournal(path))
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
-	n, parent, base, err := fs.resolve(path, true, 0)
+	n, parent, base, err := fs.resolve(path, true)
 	if err == nil {
 		_ = n
 		return &PathError{"mkdir", path, ErrExist}
@@ -347,11 +470,12 @@ func (fs *FS) mkdir(path string, mode uint32, owner string, trace uint64) error 
 
 // MkdirAll creates path and any missing parents.
 func (fs *FS) MkdirAll(path string, mode uint32, owner string) error {
-	parts := SplitPath(path)
-	cur := ""
-	for _, c := range parts {
-		cur += "/" + c
-		err := fs.Mkdir(cur, mode, owner)
+	c := Clean(path)
+	for i := 2; i <= len(c); i++ {
+		if i < len(c) && c[i] != '/' {
+			continue
+		}
+		err := fs.Mkdir(c[:i], mode, owner)
 		if err != nil && !errors.Is(err, ErrExist) {
 			return err
 		}
@@ -368,7 +492,7 @@ func (fs *FS) create(path string, mode uint32, owner string, trace uint64) (Stat
 	defer fs.endJournal(fs.beginJournal(path))
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
-	n, parent, base, err := fs.resolve(path, true, 0)
+	n, parent, base, err := fs.resolve(path, true)
 	switch {
 	case err == nil:
 		if n.ftype == TypeDir {
@@ -425,7 +549,7 @@ func (fs *FS) statOf(n *Inode, nlink int) Stat {
 func (fs *FS) Stat(path string) (Stat, error) {
 	fs.treeMu.RLock()
 	defer fs.treeMu.RUnlock()
-	n, _, _, err := fs.resolve(path, true, 0)
+	n, _, _, err := fs.resolve(path, true)
 	if err != nil {
 		return Stat{}, &PathError{"stat", path, err}
 	}
@@ -436,7 +560,7 @@ func (fs *FS) Stat(path string) (Stat, error) {
 func (fs *FS) Lstat(path string) (Stat, error) {
 	fs.treeMu.RLock()
 	defer fs.treeMu.RUnlock()
-	n, _, _, err := fs.resolve(path, false, 0)
+	n, _, _, err := fs.resolve(path, false)
 	if err != nil {
 		return Stat{}, &PathError{"lstat", path, err}
 	}
@@ -560,7 +684,7 @@ func (fs *FS) unlink(path string, trace uint64) error {
 	defer fs.endJournal(fs.beginJournal(path))
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
-	n, parent, base, err := fs.resolve(path, false, 0)
+	n, parent, base, err := fs.resolve(path, false)
 	if err != nil {
 		return &PathError{"unlink", path, err}
 	}
@@ -583,7 +707,7 @@ func (fs *FS) rmdir(path string, trace uint64) error {
 	defer fs.endJournal(fs.beginJournal(path))
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
-	n, parent, base, err := fs.resolve(path, false, 0)
+	n, parent, base, err := fs.resolve(path, false)
 	if err != nil {
 		return &PathError{"rmdir", path, err}
 	}
@@ -612,7 +736,7 @@ func (fs *FS) symlink(target, linkPath string, owner string, trace uint64) error
 	defer fs.endJournal(fs.beginJournal(linkPath))
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
-	_, parent, base, err := fs.resolve(linkPath, false, 0)
+	_, parent, base, err := fs.resolve(linkPath, false)
 	if err == nil {
 		return &PathError{"symlink", linkPath, ErrExist}
 	}
@@ -657,14 +781,14 @@ func (fs *FS) link(oldPath, newPath string, trace uint64) error {
 	defer fs.endJournal2(ja, jb)
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
-	src, _, _, err := fs.resolve(oldPath, true, 0)
+	src, _, _, err := fs.resolve(oldPath, true)
 	if err != nil {
 		return &PathError{"link", oldPath, err}
 	}
 	if src.ftype == TypeDir {
 		return &PathError{"link", oldPath, ErrIsDir}
 	}
-	_, parent, base, err := fs.resolve(newPath, false, 0)
+	_, parent, base, err := fs.resolve(newPath, false)
 	if err == nil {
 		return &PathError{"link", newPath, ErrExist}
 	}
@@ -689,14 +813,14 @@ func (fs *FS) rename(oldPath, newPath string, trace uint64) error {
 	defer fs.endJournal2(ja, jb)
 	fs.treeMu.Lock()
 	defer fs.treeMu.Unlock()
-	src, srcParent, srcBase, err := fs.resolve(oldPath, false, 0)
+	src, srcParent, srcBase, err := fs.resolve(oldPath, false)
 	if err != nil {
 		return &PathError{"rename", oldPath, err}
 	}
 	if src == fs.root {
 		return &PathError{"rename", oldPath, ErrInvalid}
 	}
-	dst, dstParent, dstBase, err := fs.resolve(newPath, false, 0)
+	dst, dstParent, dstBase, err := fs.resolve(newPath, false)
 	switch {
 	case err == nil:
 		if dst == src {
@@ -858,4 +982,10 @@ func (fs *FS) TotalInodes() int {
 
 // PathComponents reports the number of components the path resolves
 // through; the kernel uses it to charge per-component lookup cost.
-func PathComponents(path string) int { return len(SplitPath(path)) }
+func PathComponents(path string) int {
+	c := Clean(path)
+	if c == "/" {
+		return 0
+	}
+	return strings.Count(c, "/")
+}
